@@ -69,7 +69,7 @@ use std::sync::Arc;
 
 use gr_netsim::{
     stream_rng, BurstModel, Corrupt, FaultPlan, LinkFailure, LinkHeal, NetPartition, NodeCrash,
-    NodeRestart, PartitionHeal, Protocol, RngStream, Schedule, SimConfigError, SimStats,
+    NodeRestart, PartitionHeal, PerPart, Protocol, RngStream, Schedule, SimConfigError, SimStats,
     WorkerPool,
 };
 use gr_reduction::{
@@ -480,8 +480,8 @@ pub struct BatchSim<'h, P: TenantProtocol> {
     /// Queued streaming updates per tenant, applied at its next round
     /// boundary: `(union node, new value)` in push order.
     updates: Vec<Vec<(NodeId, f64)>>,
-    /// Per-worker wire buffers (one round's sends of one tenant).
-    send_bufs: Vec<Vec<(NodeId, NodeId, <P as Protocol>::Msg)>>,
+    /// Per-worker round buffers, each on cache lines of its own.
+    bufs: PerPart<WorkerBufs<<P as Protocol>::Msg>>,
     workers: usize,
     pool: Option<WorkerPool>,
     board: Arc<SnapshotBoard>,
@@ -541,7 +541,10 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
             believed_flat,
             believed_len,
             inputs,
-            send_bufs: (0..workers).map(|_| Vec::new()).collect(),
+            bufs: PerPart::from_fn(workers, |_| WorkerBufs {
+                picks: Vec::new(),
+                sends: Vec::new(),
+            }),
             workers,
             pool,
             board,
@@ -666,7 +669,7 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
                 // struct, its update queue, its contiguous node/arc
                 // ranges of the strided vectors, its nodes' protocol
                 // state per the PARALLEL_SAFE contract) or worker-owned
-                // (send_bufs[w], the protocol's part-`w` arenas). The
+                // (bufs[w], the protocol's part-`w` arenas). The
                 // snapshot board is written through atomics. The pool's
                 // barrier retires all workers before `run` returns, so
                 // these aliased `&mut`s never overlap the caller's
@@ -1177,31 +1180,42 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
         }
     }
 
-    /// Phases 3–5 for tenant `t` on worker `w`: every alive node sends
-    /// once (partner from the tenant's schedule stream), then in-order
-    /// delivery through the fault pipeline with reply hooks — the classic
-    /// zero-delay synchronous round, node ids offset by the tenant base.
+    /// Phases 3–5 for tenant `t` on worker `w`: every alive node draws
+    /// its partner from the tenant's schedule stream, then sends once,
+    /// then in-order delivery through the fault pipeline with reply
+    /// hooks — the classic zero-delay synchronous round, node ids offset
+    /// by the tenant base.
     fn sync_round(&mut self, w: usize, t: usize) {
         let (nb, ne) = (self.tenants[t].node_base, self.tenants[t].node_end);
-        let mut buf = std::mem::take(&mut self.send_bufs[w]);
-        debug_assert!(buf.is_empty());
+        let mut picks = std::mem::take(&mut self.bufs[w].picks);
+        let mut buf = std::mem::take(&mut self.bufs[w].sends);
+        debug_assert!(picks.is_empty() && buf.is_empty());
+        let tn = &mut self.tenants[t];
         for i in nb..ne {
             if !self.alive_node[i as usize] {
                 continue;
             }
             let base = self.host.graph.arc_base(i);
             let len = self.believed_len[i as usize] as usize;
-            let tn = &mut self.tenants[t];
             let alive = &self.believed_flat[base..base + len];
-            let target = tn.schedule.pick(i - nb, alive, &mut tn.sched_rng);
-            let Some(target) = target else { continue };
-            let msg = self.protocol.part_send(w, i, target);
-            self.tenants[t].stats.sent += 1;
-            buf.push((i, target, msg));
+            if let Some(target) = tn.schedule.pick(i - nb, alive, &mut tn.sched_rng) {
+                picks.push((i, target));
+            }
         }
+        // Warm each sender's random arc row a few picks ahead, as the
+        // delivery loop below does for receivers.
+        const LOOKAHEAD: usize = 8;
+        for k in 0..picks.len() {
+            if let Some(&(node, target)) = picks.get(k + LOOKAHEAD) {
+                self.protocol.prewarm(node, target);
+            }
+            let (i, target) = picks[k];
+            buf.push((i, target, self.protocol.part_send(w, i, target)));
+        }
+        self.tenants[t].stats.sent += picks.len() as u64;
+        picks.clear();
         let tn = &self.tenants[t];
         let clean = !tn.physical_faults && tn.loss <= 0.0 && tn.flip <= 0.0 && tn.burst.is_none();
-        const LOOKAHEAD: usize = 8;
         for k in 0..buf.len() {
             if let Some(ahead) = buf.get(k + LOOKAHEAD) {
                 self.protocol.prewarm(ahead.1, ahead.0);
@@ -1217,8 +1231,16 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
         for (_, _, msg) in buf.drain(..) {
             self.protocol.part_reclaim(w, msg);
         }
-        self.send_bufs[w] = buf;
+        self.bufs[w].picks = picks;
+        self.bufs[w].sends = buf;
     }
+}
+
+/// One worker's reused round buffers: the `(node, partner)` picks and
+/// the wire messages of one tenant round.
+struct WorkerBufs<M> {
+    picks: Vec<(NodeId, NodeId)>,
+    sends: Vec<(NodeId, NodeId, M)>,
 }
 
 impl Tenant {

@@ -8,10 +8,10 @@
 //! `Protocol::reclaim`, 1000 post-warmup rounds must perform exactly zero
 //! heap allocations.
 //!
-//! Arming is thread-local (see `alloc_free.rs`): libtest's main thread can
-//! be preempted into the counting window on a loaded single-core host, and
-//! its mpmc event-channel waker allocates lazily. Only the measuring
-//! thread's allocations may count.
+//! Arming is thread-local: libtest's main thread can be preempted into
+//! the counting window on a loaded single-core host, and its mpmc
+//! event-channel waker allocates lazily. Only the measuring thread's
+//! allocations may count.
 
 use gr_bench::vector_fixture;
 use gr_netsim::{FaultPlan, Simulator};

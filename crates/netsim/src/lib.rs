@@ -54,7 +54,7 @@ pub use options::{
     Activation, DelayModel, DetectorModel, PartitionModel, PartitionPlan, PartitionSource,
     SimConfigError, SimOptions,
 };
-pub use par::WorkerPool;
+pub use par::{PerPart, WorkerPool};
 pub use rng::{stream_rng, RngStream};
 pub use schedule::Schedule;
 pub use sim::{Protocol, SimStats, Simulator};

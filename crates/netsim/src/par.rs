@@ -14,6 +14,10 @@
 //! job index until the range is exhausted. The caller returns only after
 //! every worker has finished the phase, so the closure's borrows stay
 //! valid and phases are strictly barrier-separated.
+//!
+//! [`PerPart`] is the state-side companion: the container every round
+//! driver and parallel-safe protocol keeps its per-partition state in, so
+//! that concurrent workers never write the same cache line.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -173,6 +177,80 @@ impl Drop for WorkerPool {
     }
 }
 
+/// One [`PerPart`] slot: aligned, and therefore padded, to 128 bytes —
+/// two 64-byte lines, because x86 cores prefetch lines in adjacent pairs
+/// and a neighbour one line away still ping-pongs.
+#[derive(Clone, Debug, Default)]
+#[repr(align(128))]
+struct Padded<T>(T);
+
+/// Per-partition (or per-worker) state with every slot on cache lines of
+/// its own.
+///
+/// A plain `Vec` of small per-partition records — a stats block, a pool
+/// header, a scratch mass, a lane header — packs several partitions onto
+/// one line, so concurrent workers writing "their own" element still
+/// invalidate each other's caches on every message (false sharing). A
+/// `PerPart` stores each element in a 128-byte-aligned slot, so slot `p`
+/// shares no line with slot `p ± 1`. Heap buffers an element owns (a
+/// pool's backing store) are separate allocations and unaffected.
+///
+/// Indexing is by partition (`parts[p]`) or, for lane grids, by any
+/// partition-derived index. Round drivers use it for every piece of
+/// partition- or worker-owned state, and protocols that opt into
+/// [`Protocol::PARALLEL_SAFE`](crate::Protocol::PARALLEL_SAFE) keep their
+/// per-partition arenas in one.
+#[derive(Clone, Debug)]
+pub struct PerPart<T> {
+    slots: Vec<Padded<T>>,
+}
+
+impl<T> PerPart<T> {
+    /// `n` slots, slot `p` initialised to `f(p)`.
+    pub fn from_fn(n: usize, mut f: impl FnMut(usize) -> T) -> Self {
+        PerPart {
+            slots: (0..n).map(|p| Padded(f(p))).collect(),
+        }
+    }
+
+    /// Grow or shrink to `n` slots, filling new ones with `f()`; existing
+    /// slots keep their contents.
+    pub fn resize_with(&mut self, n: usize, mut f: impl FnMut() -> T) {
+        self.slots.resize_with(n, || Padded(f()));
+    }
+
+    /// The slots in index order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().map(|s| &s.0)
+    }
+
+    /// The slots in index order, mutably.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.slots.iter_mut().map(|s| &mut s.0)
+    }
+}
+
+impl<T> Default for PerPart<T> {
+    fn default() -> Self {
+        PerPart { slots: Vec::new() }
+    }
+}
+
+impl<T> std::ops::Index<usize> for PerPart<T> {
+    type Output = T;
+    #[inline]
+    fn index(&self, p: usize) -> &T {
+        &self.slots[p].0
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for PerPart<T> {
+    #[inline]
+    fn index_mut(&mut self, p: usize) -> &mut T {
+        &mut self.slots[p].0
+    }
+}
+
 fn worker_loop(shared: &Shared) {
     let mut seen_epoch = 0u64;
     loop {
@@ -253,5 +331,39 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 16);
+    }
+
+    /// Byte distance between slots `p` and `p + 1`.
+    fn stride<T>(v: &PerPart<T>, p: usize) -> usize {
+        (&raw const v[p + 1]) as usize - (&raw const v[p]) as usize
+    }
+
+    #[test]
+    fn per_part_slots_sit_on_separate_lines() {
+        // `Mass<f64>` slots are checked in gr-reduction's payload tests.
+        let words = PerPart::from_fn(4, |p| p as u64);
+        let pools: PerPart<Vec<u32>> = PerPart::from_fn(4, |_| Vec::new());
+        for p in 0..3 {
+            assert!(stride(&words, p) >= 128);
+            assert!(stride(&pools, p) >= 128);
+        }
+        assert_eq!((&raw const words[0]) as usize % 128, 0);
+    }
+
+    #[test]
+    fn per_part_resize_and_index_keep_contents() {
+        let mut v = PerPart::from_fn(2, |p| vec![p; p + 1]);
+        v[1].push(7);
+        v.resize_with(4, || vec![9]);
+        assert_eq!(v.iter().count(), 4);
+        assert_eq!(v[0], vec![0]);
+        assert_eq!(v[1], vec![1, 1, 7]);
+        assert_eq!(v[3], vec![9]);
+        v.resize_with(1, Vec::new);
+        assert_eq!(v.iter().collect::<Vec<_>>(), vec![&vec![0]]);
+        for s in v.iter_mut() {
+            s.clear();
+        }
+        assert!(v[0].is_empty());
     }
 }

@@ -6,6 +6,7 @@ use crate::faults::{
     PartitionHeal,
 };
 use crate::options::{Activation, DelayModel, DetectorModel, SimConfigError, SimOptions};
+use crate::par::PerPart;
 use crate::rng::{stream_rng, RngStream};
 use crate::schedule::Schedule;
 use crate::trace::{Event, Trace};
@@ -37,12 +38,15 @@ pub trait Protocol {
     /// after the call either way.
     fn on_receive(&mut self, node: NodeId, from: NodeId, msg: &mut Self::Msg);
 
-    /// Hint that `on_receive(node, from, _)` is about to run. The delivery
-    /// loop calls this a few messages ahead so implementations can prefetch
-    /// the per-arc state the handler will touch — receivers arrive in
-    /// random order, so those accesses otherwise stall on a cache miss
-    /// right on the critical path. Must not mutate observable state.
-    /// Default: do nothing.
+    /// Hint that the arc `node → from` is about to be used: either
+    /// `on_receive(node, from, _)` or — with `from` the schedule's pick —
+    /// `on_send(node, from)` (and their `part_*` variants). The delivery
+    /// loops call it a few messages ahead; the synchronous send loops
+    /// draw every partner first and call it a few picks ahead. Either way
+    /// the node's arc row is random, so implementations prefetch the
+    /// per-node and per-arc state the handler starts with, which would
+    /// otherwise stall on a cache miss right on the critical path. Must
+    /// not mutate observable state. Default: do nothing.
     #[inline]
     fn prewarm(&self, node: NodeId, from: NodeId) {
         let _ = (node, from);
@@ -121,9 +125,9 @@ pub trait Protocol {
     // protocol works under the partitioned engine unchanged (sequential
     // execution). A protocol opts into *parallel* execution of those
     // phases by setting [`PARALLEL_SAFE`](Self::PARALLEL_SAFE) — at which
-    // point it promises the contract documented there, typically by
-    // keeping one arena (message pool, scratch buffer, stat counters)
-    // per partition, indexed by the `part` argument.
+    // point it promises the contract documented there, by keeping one
+    // arena (message pool, scratch buffer, stat counters) per partition
+    // in a [`PerPart`], indexed by the `part` argument.
 
     /// Declares the partition-phase hooks safe to run concurrently, one
     /// thread per partition. A protocol may set this to `true` iff:
@@ -135,12 +139,20 @@ pub trait Protocol {
     /// * the failure hooks (`on_link_failed`, `on_suspect`,
     ///   `on_rehabilitate`, `on_neighbor_restarted`) touch only state
     ///   owned by their first argument;
-    /// * `part_reclaim(part, ..)` touches only the `part` arena.
+    /// * `part_reclaim(part, ..)` touches only the `part` arena;
+    /// * the per-partition arenas live in one [`PerPart`] — not in plain
+    ///   `Vec`s, whose neighbouring elements share cache lines, so that
+    ///   workers writing only their own arena would still stall each
+    ///   other on every message (false sharing). Group a partition's
+    ///   pool, scratch and counters into one struct and size it with a
+    ///   single `resize_with` in [`set_partitions`](Self::set_partitions).
     ///
     /// Nodes are partition-contiguous, so "state owned by `node`" is
     /// disjoint across concurrently-running partitions. Thread count
     /// never changes results either way — it is purely an execution
     /// hint; `false` (the default) merely forces sequential execution.
+    /// The multi-tenant batch executor (`gr-batch`) calls the same hooks
+    /// with a worker index in place of the partition.
     const PARALLEL_SAFE: bool = false;
 
     /// Called once before the first round when the partitioned engine is
@@ -250,7 +262,43 @@ struct Part {
     burst_bad: bool,
     stats: SimStats,
     events: Vec<Event>,
+    /// Reused `(node, partner)` buffer of the send phase (see
+    /// [`Simulator::par_send`]).
+    picks: Vec<(NodeId, NodeId)>,
 }
+
+/// Partition of `node` when `n` nodes are split into `partitions`
+/// contiguous blocks starting at `⌊p·n/P⌋` (the exact inverse).
+#[inline]
+fn part_index(node: NodeId, partitions: usize, n: usize) -> usize {
+    (((node as u64 + 1) * partitions as u64 - 1) / n as u64) as usize
+}
+
+/// Send-lane capacities for the partitioned engine: lane `p → q` carries
+/// at most one message per node of `p` with a neighbour in `q`, so
+/// reserving that bound up front means no round ever regrows a lane.
+fn lane_bounds(graph: &Graph, part_starts: &[NodeId]) -> Vec<usize> {
+    let np = part_starts.len() - 1;
+    let mut bounds = vec![0; np * np];
+    // Last node counted toward each target partition.
+    let mut last = vec![NodeId::MAX; np];
+    for p in 0..np {
+        for i in part_starts[p]..part_starts[p + 1] {
+            for &j in graph.neighbors(i) {
+                let q = part_index(j, np, graph.len());
+                if last[q] != i {
+                    last[q] = i;
+                    bounds[p * np + q] += 1;
+                }
+            }
+        }
+    }
+    bounds
+}
+
+/// How many messages (or picks) ahead of the handler the round loops call
+/// [`Protocol::prewarm`].
+const LOOKAHEAD: usize = 8;
 
 /// Shuttles the `&mut Simulator` into pool workers. Soundness rests on
 /// the phase-disjointness contract documented at
@@ -499,7 +547,7 @@ pub struct Simulator<'g, P: Protocol> {
     last_heard: Vec<u64>,
     /// Per-partition timeout-detector state (one part covering all arcs
     /// when `partitions == 1`); empty under the oracle detector.
-    det: Vec<DetectorPart>,
+    det: PerPart<DetectorPart>,
     /// Resolved partition count; `1` selects the classic single-stream
     /// engine (byte-identical to the pre-partitioning simulator), `≥ 2`
     /// the partitioned engine with per-partition RNG streams.
@@ -511,19 +559,24 @@ pub struct Simulator<'g, P: Protocol> {
     /// entries); empty when `partitions == 1`.
     part_starts: Vec<NodeId>,
     /// Per-partition mutable state; empty when `partitions == 1`.
-    parts: Vec<Part>,
+    parts: PerPart<Part>,
     /// Cross-partition mailbox lanes, `lanes[p * partitions + q]` =
     /// messages sent this round from partition `p` to partition `q`.
     /// The send phase has worker `p` write row `p`; after the barrier the
     /// deliver phase has worker `q` drain column `q` in ascending `p`
-    /// order — disjoint index sets per phase, fixed merge order.
-    lanes: Vec<Vec<(NodeId, NodeId, P::Msg)>>,
+    /// order — disjoint index sets per phase, fixed merge order. A
+    /// cross-partition lane keeps its spent buffers until worker `p`
+    /// reclaims them at the start of its next send phase. Each lane
+    /// header sits on its own lines, since neighbouring lanes belong to
+    /// different workers in both phases; capacities are reserved at
+    /// construction (see [`lane_bounds`]).
+    lanes: PerPart<Vec<(NodeId, NodeId, P::Msg)>>,
     /// Same shape for push-pull replies: the deliver phase has worker `q`
     /// write row `q`, the reply phase has worker `p` drain column `p`.
-    reply_lanes: Vec<Vec<(NodeId, NodeId, P::Msg)>>,
+    reply_lanes: PerPart<Vec<(NodeId, NodeId, P::Msg)>>,
     /// Same shape for liveness probes (timeout mode), keyed by the
     /// *target*'s partition and delivered at the start of the next round.
-    probe_lanes: Vec<Vec<(NodeId, NodeId)>>,
+    probe_lanes: PerPart<Vec<(NodeId, NodeId)>>,
     /// Persistent worker pool, present iff `partitions > 1`, `threads >
     /// 1` and the protocol declared `PARALLEL_SAFE`. Without it the
     /// partition phases run sequentially — same results either way.
@@ -545,6 +598,9 @@ pub struct Simulator<'g, P: Protocol> {
     /// rebuilt only after a crash invalidates it.
     alive_scratch: Vec<NodeId>,
     alive_scratch_dirty: bool,
+    /// Reused `(node, partner)` buffer of the classic synchronous send
+    /// phase (see [`Simulator::step_synchronous`]).
+    picks: Vec<(NodeId, NodeId)>,
     /// Optional bounded event recorder (see [`Simulator::enable_trace`]).
     trace: Option<Trace>,
     /// Optional per-arc delivered-message counters
@@ -636,55 +692,57 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 graph.arc_base(part_starts[p])
             }
         };
-        let parts: Vec<Part> = (0..if partitions > 1 { partitions } else { 0 })
-            .map(|p| Part {
-                node_start: part_starts[p],
-                node_end: part_starts[p + 1],
-                sched_rng: stream_rng(seed, RngStream::SchedulePart(p as u32)),
-                fault_rng: stream_rng(seed, RngStream::FaultsPart(p as u32)),
-                burst_rng: stream_rng(seed, RngStream::BurstPart(p as u32)),
-                burst_bad: false,
-                stats: SimStats::default(),
-                events: Vec::new(),
-            })
-            .collect();
-        let det: Vec<DetectorPart> = if detector_timeout {
+        let parts = PerPart::from_fn(if partitions > 1 { partitions } else { 0 }, |p| Part {
+            node_start: part_starts[p],
+            node_end: part_starts[p + 1],
+            sched_rng: stream_rng(seed, RngStream::SchedulePart(p as u32)),
+            fault_rng: stream_rng(seed, RngStream::FaultsPart(p as u32)),
+            burst_rng: stream_rng(seed, RngStream::BurstPart(p as u32)),
+            burst_bad: false,
+            stats: SimStats::default(),
+            events: Vec::new(),
+            picks: Vec::new(),
+        });
+        let det = if detector_timeout {
             assert!(
                 graph.arc_count() <= u32::MAX as usize,
                 "timeout detector packs arc ids into 32 bits"
             );
-            let nparts = partitions.max(1);
-            (0..nparts)
-                .map(|p| {
-                    let (a0, a1) = if partitions > 1 {
-                        (part_arc_start(p), part_arc_start(p + 1))
-                    } else {
-                        (0, graph.arc_count())
-                    };
-                    let mut d = DetectorPart::new(a0, a1, detector_window);
-                    // Initially every arc is monitored with an untouched
-                    // silence clock (`last_heard == 0`).
-                    let (ns, ne) = if partitions > 1 {
-                        (part_starts[p], part_starts[p + 1])
-                    } else {
-                        (0, n as NodeId)
-                    };
-                    for i in ns..ne {
-                        let base = graph.arc_base(i);
-                        for s in 0..graph.degree(i) {
-                            d.arm(i, base + s, detector_window);
-                        }
+            PerPart::from_fn(partitions.max(1), |p| {
+                let (a0, a1) = if partitions > 1 {
+                    (part_arc_start(p), part_arc_start(p + 1))
+                } else {
+                    (0, graph.arc_count())
+                };
+                let mut d = DetectorPart::new(a0, a1, detector_window);
+                // Initially every arc is monitored with an untouched
+                // silence clock (`last_heard == 0`).
+                let (ns, ne) = if partitions > 1 {
+                    (part_starts[p], part_starts[p + 1])
+                } else {
+                    (0, n as NodeId)
+                };
+                for i in ns..ne {
+                    let base = graph.arc_base(i);
+                    for s in 0..graph.degree(i) {
+                        d.arm(i, base + s, detector_window);
                     }
-                    d
-                })
-                .collect()
+                }
+                d
+            })
         } else {
-            Vec::new()
+            PerPart::default()
         };
         let nlanes = if partitions > 1 {
             partitions * partitions
         } else {
             0
+        };
+        let lanes = if partitions > 1 {
+            let bounds = lane_bounds(graph, &part_starts);
+            PerPart::from_fn(nlanes, |l| Vec::with_capacity(bounds[l]))
+        } else {
+            PerPart::default()
         };
         let pool = if partitions > 1 && options.threads > 1 && P::PARALLEL_SAFE {
             Some(crate::par::WorkerPool::new(options.threads.min(partitions)))
@@ -739,12 +797,12 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             partition_plan,
             part_starts,
             parts,
-            lanes: (0..nlanes).map(|_| Vec::new()).collect(),
-            reply_lanes: (0..nlanes).map(|_| Vec::new()).collect(),
+            lanes,
+            reply_lanes: PerPart::from_fn(nlanes, |_| Vec::new()),
             probe_lanes: if detector_timeout && partitions > 1 {
-                (0..nlanes).map(|_| Vec::new()).collect()
+                PerPart::from_fn(nlanes, |_| Vec::new())
             } else {
-                Vec::new()
+                PerPart::default()
             },
             pool,
             ring,
@@ -757,6 +815,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             },
             alive_scratch: Vec::new(),
             alive_scratch_dirty: true,
+            picks: Vec::new(),
             trace: None,
             link_load: None,
             stats: SimStats::default(),
@@ -907,8 +966,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         if self.partitions <= 1 {
             return 0;
         }
-        let p =
-            (((node as u64 + 1) * self.partitions as u64 - 1) / self.graph.len() as u64) as usize;
+        let p = part_index(node, self.partitions, self.graph.len());
         debug_assert!(self.part_starts[p] <= node && node < self.part_starts[p + 1]);
         p
     }
@@ -1171,7 +1229,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         for bucket in &mut self.probe_ring {
             bucket.retain(|&(src, dst)| src != node && dst != node);
         }
-        for lane in &mut self.probe_lanes {
+        for lane in self.probe_lanes.iter_mut() {
             lane.retain(|&(src, dst)| src != node && dst != node);
         }
         // Pending oracle detections about the node are stale too — except
@@ -1582,16 +1640,27 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     }
 
     fn step_synchronous(&mut self) {
-        // Phase 3: sends, enqueued for delivery `delay` rounds from now.
-        let nbuckets = self.ring.slots() as u64;
+        // Phase 3a: every alive node draws its partner, in node order — the
+        // schedule stream sees exactly the draws of a pick-and-send loop.
+        let mut picks = std::mem::take(&mut self.picks);
         for i in 0..self.graph.len() as NodeId {
             if !self.alive_node[i as usize] {
                 continue;
             }
             let base = self.graph.arc_base(i);
             let alive = &self.believed_flat[base..base + self.believed_len[i as usize] as usize];
-            let target = self.schedule.pick(i, alive, &mut self.schedule_rng);
-            let Some(target) = target else { continue };
+            if let Some(target) = self.schedule.pick(i, alive, &mut self.schedule_rng) {
+                picks.push((i, target));
+            }
+        }
+        // Phase 3b: sends, enqueued for delivery `delay` rounds from now.
+        // Each sender's arc row is random, so warm it a few picks ahead.
+        let nbuckets = self.ring.slots() as u64;
+        for k in 0..picks.len() {
+            if let Some(&(node, target)) = picks.get(k + LOOKAHEAD) {
+                self.protocol.prewarm(node, target);
+            }
+            let (i, target) = picks[k];
             let msg = self.protocol.on_send(i, target);
             self.stats.sent += 1;
             self.record(Event::Sent {
@@ -1607,6 +1676,8 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             };
             self.ring.ship_at(slot, i, target, msg);
         }
+        picks.clear();
+        self.picks = picks;
 
         // Phase 4+5: transit faults, then in-order delivery of everything
         // due this round.
@@ -1626,7 +1697,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         // Receivers are in random order while the batch is walked
         // sequentially: warm the state a few deliveries ahead so the
         // handler's first loads come out of cache.
-        const LOOKAHEAD: usize = 8;
         for i in 0..batch.len() {
             if let Some(ahead) = batch.get(i + LOOKAHEAD) {
                 self.protocol.prewarm(ahead.1, ahead.0);
@@ -1749,25 +1819,45 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     }
 
     /// Send phase for partition `p`: node order within the partition,
-    /// partner picks from `p`'s own schedule stream, outgoing messages
+    /// partner picks from `p`'s own schedule stream (all drawn first, as
+    /// in [`step_synchronous`](Self::step_synchronous)), outgoing messages
     /// pushed onto the `(p, target-partition)` lane.
     fn par_send(&mut self, p: usize) {
         let np = self.partitions;
         let round = self.round;
         let trace_on = self.trace.is_some();
         let (ns, ne) = (self.parts[p].node_start, self.parts[p].node_end);
+        // Hand last round's cross-partition buffers (delivered or dropped)
+        // back to this partition's arena. Reclaiming them here, not in the
+        // receiver's deliver phase, closes every partition's pool: it gets
+        // back exactly the buffers it sent, so pool sizes cannot drift
+        // between partitions and steady rounds never regrow one.
+        for q in (0..np).filter(|&q| q != p) {
+            for (_, _, msg) in self.lanes[p * np + q].drain(..) {
+                self.protocol.part_reclaim(p, msg);
+            }
+        }
+        let mut picks = std::mem::take(&mut self.parts[p].picks);
         for i in ns..ne {
             if !self.alive_node[i as usize] {
                 continue;
             }
             let base = self.graph.arc_base(i);
             let alive = &self.believed_flat[base..base + self.believed_len[i as usize] as usize];
-            let target = self.schedule.pick(i, alive, &mut self.parts[p].sched_rng);
-            let Some(target) = target else { continue };
+            if let Some(target) = self.schedule.pick(i, alive, &mut self.parts[p].sched_rng) {
+                picks.push((i, target));
+            }
+        }
+        for k in 0..picks.len() {
+            if let Some(&(node, target)) = picks.get(k + LOOKAHEAD) {
+                self.protocol.prewarm(node, target);
+            }
+            let (i, target) = picks[k];
             let msg = self.protocol.part_send(p, i, target);
-            self.parts[p].stats.sent += 1;
+            let part = &mut self.parts[p];
+            part.stats.sent += 1;
             if trace_on {
-                self.parts[p].events.push(Event::Sent {
+                part.events.push(Event::Sent {
                     round,
                     src: i,
                     dst: target,
@@ -1776,6 +1866,8 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             let q = self.part_of(target);
             self.lanes[p * np + q].push((i, target, msg));
         }
+        picks.clear();
+        self.parts[p].picks = picks;
     }
 
     /// Deliver phase for partition `q`: drain lane column `q` in
@@ -1791,7 +1883,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             && self.plan.msg_loss_prob <= 0.0
             && self.plan.bit_flip_prob <= 0.0
             && self.burst.is_none();
-        const LOOKAHEAD: usize = 8;
         for p in 0..np {
             let li = p * np + q;
             let mut lane = std::mem::take(&mut self.lanes[li]);
@@ -1820,8 +1911,12 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                     }
                 }
             }
-            for (_, _, msg) in lane.drain(..) {
-                self.protocol.part_reclaim(q, msg);
+            // Cross-partition buffers wait in the lane for `p`'s next send
+            // phase (see `par_send`).
+            if p == q {
+                for (_, _, msg) in lane.drain(..) {
+                    self.protocol.part_reclaim(q, msg);
+                }
             }
             self.lanes[li] = lane;
         }

@@ -23,7 +23,7 @@
 use crate::aggregate::InitialData;
 use crate::payload::Payload;
 use crate::protocol::ReductionProtocol;
-use gr_netsim::{Corrupt, Protocol};
+use gr_netsim::{Corrupt, PerPart, Protocol};
 use gr_topology::{Graph, NodeId};
 
 /// A flow-updating message: the sender's flow toward the receiver and the
@@ -60,14 +60,31 @@ pub struct FlowUpdating<'g, P: Payload> {
     /// Last known estimate of the neighbor across each arc.
     nbr_est: Vec<P>,
     dim: usize,
-    /// Recycled wire buffers, one arena per engine partition (fed by
-    /// [`Protocol::reclaim`] / [`Protocol::part_reclaim`]).
-    pools: Vec<Vec<FuMsg<P>>>,
-    /// Reused estimate / pairwise-average buffers for `on_send`, one pair
-    /// per engine partition — keep heap-spilled payloads (dim above the
-    /// inline cap) allocation-free on the hot path.
-    scratch_e: Vec<P>,
-    scratch_a: Vec<P>,
+    /// One arena per engine partition, each on cache lines of its own (a
+    /// single arena under the classic engine).
+    arenas: PerPart<FuArena<P>>,
+}
+
+/// The state a partition's hooks share that no node owns.
+struct FuArena<P: Payload> {
+    /// Recycled wire buffers (fed by [`Protocol::reclaim`] /
+    /// [`Protocol::part_reclaim`]).
+    pool: Vec<FuMsg<P>>,
+    /// Reused estimate / pairwise-average buffers for `on_send` — keep
+    /// heap-spilled payloads (dim above the inline cap) allocation-free
+    /// on the hot path.
+    scratch_e: P,
+    scratch_a: P,
+}
+
+impl<P: Payload> FuArena<P> {
+    fn new(dim: usize) -> Self {
+        FuArena {
+            pool: Vec::new(),
+            scratch_e: P::zeros(dim),
+            scratch_a: P::zeros(dim),
+        }
+    }
 }
 
 impl<'g, P: Payload> FlowUpdating<'g, P> {
@@ -95,9 +112,7 @@ impl<'g, P: Payload> FlowUpdating<'g, P> {
             flows: vec![P::zeros(dim); arcs],
             nbr_est: vec![P::zeros(dim); arcs],
             dim,
-            pools: vec![Vec::new()],
-            scratch_e: vec![P::zeros(dim)],
-            scratch_a: vec![P::zeros(dim)],
+            arenas: PerPart::from_fn(1, |_| FuArena::new(dim)),
         }
     }
 
@@ -153,13 +168,14 @@ impl<'g, P: Payload> FlowUpdating<'g, P> {
             init,
             flows,
             nbr_est,
-            scratch_e,
-            scratch_a,
-            pools,
+            arenas,
             ..
         } = self;
-        let scratch_e = &mut scratch_e[part];
-        let scratch_a = &mut scratch_a[part];
+        let FuArena {
+            pool,
+            scratch_e,
+            scratch_a,
+        } = &mut arenas[part];
         // e_i into the scratch buffer ([`Self::estimate_value`] with the
         // same operation order, minus the allocation).
         scratch_e.copy_from_components(init[node as usize].components());
@@ -178,7 +194,7 @@ impl<'g, P: Payload> FlowUpdating<'g, P> {
         nbr_est[idx].copy_from_components(scratch_a.components());
         // Recycled buffers are fully overwritten, so the wire bytes are
         // identical to a freshly cloned message.
-        match pools[part].pop() {
+        match pool.pop() {
             Some(mut msg) => {
                 msg.flow.copy_from_components(flows[idx].components());
                 msg.estimate.copy_from_components(scratch_a.components());
@@ -195,16 +211,14 @@ impl<'g, P: Payload> FlowUpdating<'g, P> {
 impl<'g, P: Payload> Protocol for FlowUpdating<'g, P> {
     type Msg = FuMsg<P>;
 
-    // A send touches the sending node's arc range plus partition-indexed
-    // arenas; a receive swaps state on the receiving node's mirror arc.
+    // A send touches the sending node's arc range plus its partition's
+    // arena; a receive swaps state on the receiving node's mirror arc.
     // Failure hooks touch only the first argument's arcs.
     const PARALLEL_SAFE: bool = true;
 
     fn set_partitions(&mut self, partitions: usize) {
-        self.pools.resize_with(partitions, Vec::new);
         let dim = self.dim;
-        self.scratch_e.resize_with(partitions, || P::zeros(dim));
-        self.scratch_a.resize_with(partitions, || P::zeros(dim));
+        self.arenas.resize_with(partitions, || FuArena::new(dim));
     }
 
     fn on_send(&mut self, node: NodeId, target: NodeId) -> FuMsg<P> {
@@ -225,11 +239,11 @@ impl<'g, P: Payload> Protocol for FlowUpdating<'g, P> {
     }
 
     fn reclaim(&mut self, msg: FuMsg<P>) {
-        self.pools[0].push(msg);
+        self.arenas[0].pool.push(msg);
     }
 
     fn part_reclaim(&mut self, part: usize, msg: FuMsg<P>) {
-        self.pools[part].push(msg);
+        self.arenas[part].pool.push(msg);
     }
 
     fn on_link_failed(&mut self, node: NodeId, neighbor: NodeId) {

@@ -460,6 +460,18 @@ mod tests {
     use super::*;
 
     #[test]
+    fn per_part_masses_sit_on_separate_lines() {
+        // The protocols' per-partition scratch masses live in
+        // `gr_netsim::PerPart`; a scalar mass is 16 B, so in a plain
+        // `Vec` four partitions would share one line.
+        let masses = gr_netsim::PerPart::from_fn(3, |_| Mass::<f64>::zero(1));
+        for p in 0..2 {
+            let gap = (&raw const masses[p + 1]) as usize - (&raw const masses[p]) as usize;
+            assert!(gap >= 128, "{gap}");
+        }
+    }
+
+    #[test]
     fn scalar_payload_ops() {
         let mut x = 2.0f64;
         x.add_assign(&3.0);

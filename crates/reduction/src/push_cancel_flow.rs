@@ -50,7 +50,7 @@ use crate::aggregate::InitialData;
 use crate::bank::{self, FlowBank};
 use crate::payload::{Mass, Payload};
 use crate::protocol::ReductionProtocol;
-use gr_netsim::{Corrupt, Protocol};
+use gr_netsim::{Corrupt, PerPart, Protocol};
 use gr_topology::{Graph, NodeId};
 
 /// How the sum-of-flows accumulator `ϕ` is maintained (see module docs).
@@ -292,17 +292,32 @@ pub struct PushCancelFlow<'g, P: Payload> {
     /// [`PushCancelFlow::with_guard`]).
     guard: Option<f64>,
     dim: usize,
-    /// Instrumentation counters, one bank per engine partition (a receive
-    /// counts into its receiver-partition bank; [`Self::stats`] folds the
-    /// banks). A single bank under the classic engine.
-    stats: Vec<PcfStats>,
-    /// Recycled wire buffers, one arena per engine partition (fed by
-    /// [`Protocol::reclaim`] / [`Protocol::part_reclaim`]).
-    pools: Vec<Vec<PcfMsg<P>>>,
-    /// Reused estimate buffers for `on_send`, one per engine partition —
-    /// keep heap-spilled payloads (dim above the inline cap)
-    /// allocation-free on the hot path.
-    scratches: Vec<Mass<P>>,
+    /// One arena per engine partition, each on cache lines of its own (a
+    /// single arena under the classic engine).
+    arenas: PerPart<PcfArena<P>>,
+}
+
+/// The state a partition's hooks share that no node owns.
+struct PcfArena<P: Payload> {
+    /// Instrumentation counters (a receive counts into its
+    /// receiver-partition arena; [`PushCancelFlow::stats`] folds them).
+    stats: PcfStats,
+    /// Recycled wire buffers (fed by [`Protocol::reclaim`] /
+    /// [`Protocol::part_reclaim`]).
+    pool: Vec<PcfMsg<P>>,
+    /// Reused estimate buffer for `on_send` — keeps heap-spilled payloads
+    /// (dim above the inline cap) allocation-free on the hot path.
+    scratch: Mass<P>,
+}
+
+impl<P: Payload> PcfArena<P> {
+    fn new(dim: usize) -> Self {
+        PcfArena {
+            stats: PcfStats::default(),
+            pool: Vec::new(),
+            scratch: Mass::zero(dim),
+        }
+    }
 }
 
 impl<'g, P: Payload> PushCancelFlow<'g, P> {
@@ -330,9 +345,7 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
             bank: FlowBank::new(arcs, FIELDS, dim),
             guard: None,
             dim,
-            stats: vec![PcfStats::default()],
-            pools: vec![Vec::new()],
-            scratches: vec![Mass::zero(dim)],
+            arenas: PerPart::from_fn(1, |_| PcfArena::new(dim)),
         }
     }
 
@@ -373,8 +386,8 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
     /// Instrumentation counters (summed over the per-partition banks).
     pub fn stats(&self) -> PcfStats {
         let mut total = PcfStats::default();
-        for part in &self.stats {
-            total.absorb(part);
+        for arena in self.arenas.iter() {
+            total.absorb(&arena.stats);
         }
         total
     }
@@ -457,10 +470,10 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
             nodes,
             ctl,
             bank,
-            scratches,
+            arenas,
             ..
         } = self;
-        let scratch = &mut scratches[part];
+        let scratch = &mut arenas[part].scratch;
         let node = &nodes[i as usize];
         scratch.copy_from(&node.init);
         scratch.sub_assign(&node.phi);
@@ -582,25 +595,27 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
         // Fig. 5 lines 30–33.
         let idx = self.arc(node, target);
         self.fill_scratch_estimate(part, node);
-        self.scratches[part].scale(0.5);
         let eager = self.mode == PhiMode::Eager;
-        let mut msg = self.pools[part].pop().unwrap_or_else(|| PcfMsg {
-            f1: Mass::zero(self.dim),
-            f2: Mass::zero(self.dim),
-            c: 0,
-            r: 0,
-            folded: Mass::zero(self.dim),
-            base: Mass::zero(self.dim),
-            inc: 0,
-        });
+        let dim = self.dim;
         let PushCancelFlow {
             nodes,
             ctl,
             bank,
-            scratches,
+            arenas,
             ..
         } = self;
-        let e = &scratches[part];
+        let arena = &mut arenas[part];
+        arena.scratch.scale(0.5);
+        let mut msg = arena.pool.pop().unwrap_or_else(|| PcfMsg {
+            f1: Mass::zero(dim),
+            f2: Mass::zero(dim),
+            c: 0,
+            r: 0,
+            folded: Mass::zero(dim),
+            base: Mass::zero(dim),
+            inc: 0,
+        });
+        let e = &arena.scratch;
         let s = &mut ctl[idx];
         let act = act_idx(s.c);
         bank::add(bank.slice_mut(idx, act), e.value.components());
@@ -631,16 +646,14 @@ impl<'g, P: Payload> Protocol for PushCancelFlow<'g, P> {
     type Msg = PcfMsg<P>;
 
     // A send touches the sending node's arc row/control word and ϕ plus
-    // partition-indexed arenas (scratch, pool); a receive touches the
-    // receiving node's mirror arc, its ϕ, and its receiver-partition stats
-    // bank. Failure hooks fold only the first argument's arcs.
+    // its partition's arena (scratch, pool); a receive touches the
+    // receiving node's mirror arc, its ϕ, and its receiver-partition
+    // arena's stats. Failure hooks fold only the first argument's arcs.
     const PARALLEL_SAFE: bool = true;
 
     fn set_partitions(&mut self, partitions: usize) {
-        self.pools.resize_with(partitions, Vec::new);
         let dim = self.dim;
-        self.scratches.resize_with(partitions, || Mass::zero(dim));
-        self.stats.resize_with(partitions, PcfStats::default);
+        self.arenas.resize_with(partitions, || PcfArena::new(dim));
     }
 
     fn on_send(&mut self, node: NodeId, target: NodeId) -> PcfMsg<P> {
@@ -652,11 +665,11 @@ impl<'g, P: Payload> Protocol for PushCancelFlow<'g, P> {
     }
 
     fn reclaim(&mut self, msg: PcfMsg<P>) {
-        self.pools[0].push(msg);
+        self.arenas[0].pool.push(msg);
     }
 
     fn part_reclaim(&mut self, part: usize, msg: PcfMsg<P>) {
-        self.pools[part].push(msg);
+        self.arenas[part].pool.push(msg);
     }
 
     fn prewarm(&self, node: NodeId, from: NodeId) {
@@ -709,11 +722,11 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
             // Corrupted control field: no branch of the pseudocode is
             // meaningful; drop the message (the next clean exchange
             // supersedes it — same recovery as a lost message).
-            self.stats[part].rejected_messages += 1;
+            self.arenas[part].stats.rejected_messages += 1;
             return;
         }
         if msg.f1.dim() != self.dim || msg.f2.dim() != self.dim {
-            self.stats[part].rejected_messages += 1;
+            self.arenas[part].stats.rejected_messages += 1;
             return;
         }
         if !(self.mass_plausible(&msg.f1)
@@ -721,7 +734,7 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
             && self.mass_plausible(&msg.folded)
             && self.mass_plausible(&msg.base))
         {
-            self.stats[part].rejected_messages += 1;
+            self.arenas[part].stats.rejected_messages += 1;
             return;
         }
         let idx = self.arc(node, from);
@@ -736,10 +749,10 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
             nodes,
             ctl,
             bank,
-            stats,
+            arenas,
             ..
         } = self;
-        let stats = &mut stats[part];
+        let stats = &mut arenas[part].stats;
         let s = &mut ctl[idx];
         let phi = &mut nodes[i].phi;
 

@@ -22,7 +22,7 @@ use crate::aggregate::InitialData;
 use crate::bank::{self, FlowBank};
 use crate::payload::{Mass, Payload};
 use crate::protocol::ReductionProtocol;
-use gr_netsim::Protocol;
+use gr_netsim::{PerPart, Protocol};
 use gr_topology::{Graph, NodeId};
 
 /// Push-flow protocol state (all nodes; flows arc-indexed).
@@ -47,13 +47,28 @@ pub struct PushFlow<'g, P: Payload> {
     /// [`PushFlow::with_compensated_estimates`]).
     compensated: bool,
     dim: usize,
-    /// Recycled wire buffers, one arena per engine partition (fed by
-    /// [`Protocol::reclaim`] / [`Protocol::part_reclaim`]).
-    pools: Vec<Vec<Mass<P>>>,
-    /// Reused estimate buffers for `on_send`, one per engine partition —
-    /// keep heap-spilled payloads (dim above the inline cap)
-    /// allocation-free on the hot path.
-    scratches: Vec<Mass<P>>,
+    /// One arena per engine partition, each on cache lines of its own (a
+    /// single arena under the classic engine).
+    arenas: PerPart<PfArena<P>>,
+}
+
+/// The state a partition's hooks share that no node owns.
+struct PfArena<P: Payload> {
+    /// Recycled wire buffers (fed by [`Protocol::reclaim`] /
+    /// [`Protocol::part_reclaim`]).
+    pool: Vec<Mass<P>>,
+    /// Reused estimate buffer for `on_send` — keeps heap-spilled payloads
+    /// (dim above the inline cap) allocation-free on the hot path.
+    scratch: Mass<P>,
+}
+
+impl<P: Payload> PfArena<P> {
+    fn new(dim: usize) -> Self {
+        PfArena {
+            pool: Vec::new(),
+            scratch: Mass::zero(dim),
+        }
+    }
 }
 
 /// The bank's single field: the flow value vector.
@@ -76,8 +91,7 @@ impl<'g, P: Payload> PushFlow<'g, P> {
             guard: None,
             compensated: false,
             dim,
-            pools: vec![Vec::new()],
-            scratches: vec![Mass::zero(dim)],
+            arenas: PerPart::from_fn(1, |_| PfArena::new(dim)),
         }
     }
 
@@ -216,7 +230,7 @@ impl<'g, P: Payload> PushFlow<'g, P> {
     /// claim).
     fn fill_scratch_estimate(&mut self, part: usize, i: NodeId) {
         if self.compensated {
-            self.scratches[part] = self.estimate_mass(i);
+            self.arenas[part].scratch = self.estimate_mass(i);
             return;
         }
         let PushFlow {
@@ -224,10 +238,10 @@ impl<'g, P: Payload> PushFlow<'g, P> {
             init,
             bank,
             flow_w,
-            scratches,
+            arenas,
             ..
         } = self;
-        let scratch = &mut scratches[part];
+        let scratch = &mut arenas[part].scratch;
         let base = graph.arc_base(i);
         let deg = graph.degree(i);
         scratch.copy_from(&init[i as usize]);
@@ -241,18 +255,17 @@ impl<'g, P: Payload> PushFlow<'g, P> {
     fn send_impl(&mut self, part: usize, node: NodeId, target: NodeId) -> Mass<P> {
         // Fig. 1 lines 8–11: e_i = v_i − Σf; f_{i,k} += e_i/2; send f_{i,k}.
         self.fill_scratch_estimate(part, node);
-        self.scratches[part].scale(0.5);
         let idx = self.arc(node, target);
+        let arena = &mut self.arenas[part];
+        arena.scratch.scale(0.5);
         bank::add(
             self.bank.slice_mut(idx, FLOW),
-            self.scratches[part].value.components(),
+            arena.scratch.value.components(),
         );
-        self.flow_w[idx] += self.scratches[part].weight;
+        self.flow_w[idx] += arena.scratch.weight;
         // Refill a recycled wire buffer (every field overwritten) instead
         // of cloning the flow into a fresh allocation.
-        let mut msg = self.pools[part]
-            .pop()
-            .unwrap_or_else(|| Mass::zero(self.dim));
+        let mut msg = arena.pool.pop().unwrap_or_else(|| Mass::zero(self.dim));
         msg.value.copy_from_components(self.bank.slice(idx, FLOW));
         msg.weight = self.flow_w[idx];
         msg
@@ -263,15 +276,14 @@ impl<'g, P: Payload> Protocol for PushFlow<'g, P> {
     type Msg = Mass<P>;
 
     // A send touches the sending node's own arc rows / flow weights plus
-    // partition-indexed arenas (scratch estimate, wire-buffer pool); a
+    // its partition's arena (scratch estimate, wire-buffer pool); a
     // receive touches the receiving node's mirror arc. Failure hooks
     // touch only the first argument's arcs.
     const PARALLEL_SAFE: bool = true;
 
     fn set_partitions(&mut self, partitions: usize) {
-        self.pools.resize_with(partitions, Vec::new);
         let dim = self.dim;
-        self.scratches.resize_with(partitions, || Mass::zero(dim));
+        self.arenas.resize_with(partitions, || PfArena::new(dim));
     }
 
     fn on_send(&mut self, node: NodeId, target: NodeId) -> Mass<P> {
@@ -296,11 +308,11 @@ impl<'g, P: Payload> Protocol for PushFlow<'g, P> {
     }
 
     fn reclaim(&mut self, msg: Mass<P>) {
-        self.pools[0].push(msg);
+        self.arenas[0].pool.push(msg);
     }
 
     fn part_reclaim(&mut self, part: usize, msg: Mass<P>) {
-        self.pools[part].push(msg);
+        self.arenas[part].pool.push(msg);
     }
 
     fn on_link_failed(&mut self, node: NodeId, neighbor: NodeId) {

@@ -12,7 +12,7 @@
 use crate::aggregate::InitialData;
 use crate::payload::{Mass, Payload};
 use crate::protocol::ReductionProtocol;
-use gr_netsim::Protocol;
+use gr_netsim::{PerPart, Protocol};
 use gr_topology::{Graph, NodeId};
 
 /// Push-sum protocol state (all nodes).
@@ -23,10 +23,11 @@ pub struct PushSum<P: Payload> {
     /// [`Protocol::on_restart`]).
     init: Vec<Mass<P>>,
     dim: usize,
-    /// Recycled wire buffers, one arena per engine partition (fed by
-    /// [`Protocol::reclaim`] / [`Protocol::part_reclaim`]; a single arena
-    /// under the classic engine).
-    pools: Vec<Vec<Mass<P>>>,
+    /// Recycled wire buffers, one pool per engine partition on cache
+    /// lines of its own (fed by [`Protocol::reclaim`] /
+    /// [`Protocol::part_reclaim`]; a single pool under the classic
+    /// engine).
+    pools: PerPart<Vec<Mass<P>>>,
 }
 
 impl<P: Payload> PushSum<P> {
@@ -42,7 +43,7 @@ impl<P: Payload> PushSum<P> {
             init: mass.clone(),
             mass,
             dim: init.dim(),
-            pools: vec![Vec::new()],
+            pools: PerPart::from_fn(1, |_| Vec::new()),
         }
     }
 
