@@ -36,6 +36,8 @@
 
 mod calibrate;
 mod delivery;
+mod detector;
+mod engine;
 mod faults;
 mod options;
 mod par;
@@ -46,6 +48,7 @@ mod trace;
 
 pub use calibrate::MachineCosts;
 pub use delivery::{Delivery, RingDelivery};
+pub use engine::{Believed, FaultBook, Shard, LOOKAHEAD};
 pub use faults::{
     BurstModel, Corrupt, FaultPlan, LinkFailure, LinkHeal, NetPartition, NodeCrash, NodeRestart,
     PartitionHeal,
@@ -54,7 +57,7 @@ pub use options::{
     Activation, DelayModel, DetectorModel, PartitionModel, PartitionPlan, PartitionSource,
     SimConfigError, SimOptions,
 };
-pub use par::{PerPart, WorkerPool};
+pub use par::{PerPart, SendPtr, WorkerPool};
 pub use rng::{stream_rng, RngStream};
 pub use schedule::Schedule;
 pub use sim::{Protocol, SimStats, Simulator};

@@ -177,6 +177,36 @@ impl Drop for WorkerPool {
     }
 }
 
+/// Shuttles a `&mut` round engine into pool workers as a raw pointer.
+///
+/// Soundness rests on the engine's phase-disjointness contract: every
+/// worker dereferencing the pointer touches only state owned by its job
+/// index (its partition or tenant chunk) or state that is read-only
+/// during the phase, and [`WorkerPool::run`] returns only after every
+/// worker has retired the phase, so the aliased `&mut`s never overlap the
+/// caller's exclusive use.
+pub struct SendPtr<T>(*mut T);
+
+// SAFETY: see the type docs — the pointer is only dereferenced under the
+// pool's barrier discipline.
+unsafe impl<T> Send for SendPtr<T> {}
+unsafe impl<T> Sync for SendPtr<T> {}
+
+impl<T> SendPtr<T> {
+    /// Wrap `ptr` for one parallel phase.
+    pub fn new(ptr: *mut T) -> Self {
+        SendPtr(ptr)
+    }
+
+    /// The wrapped pointer. An accessor rather than field access, so
+    /// closures capture the whole `SendPtr` — edition-2021 disjoint
+    /// capture of `.0` would grab the bare `*mut T`, which is
+    /// deliberately not `Sync`.
+    pub fn get(&self) -> *mut T {
+        self.0
+    }
+}
+
 /// One [`PerPart`] slot: aligned, and therefore padded, to 128 bytes —
 /// two 64-byte lines, because x86 cores prefetch lines in adjacent pairs
 /// and a neighbour one line away still ping-pongs.
