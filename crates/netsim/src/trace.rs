@@ -198,6 +198,26 @@ impl Trace {
         }
     }
 
+    /// An empty buffer with `capacity`'s bound that allocates only as
+    /// events arrive: a shard's events of one round, drained into the
+    /// simulator's trace at the round's end.
+    pub(crate) fn buffer(capacity: usize) -> Self {
+        Trace {
+            ring: VecDeque::new(),
+            ..Trace::new(capacity)
+        }
+    }
+
+    /// Move every retained event into `into`, oldest first, and hand over
+    /// the eviction count. With equal capacities `into` ends up exactly
+    /// as if each event had been pushed into it directly.
+    pub(crate) fn drain_into(&mut self, into: &mut Trace) {
+        into.dropped += std::mem::take(&mut self.dropped);
+        for e in self.ring.drain(..) {
+            into.push(e);
+        }
+    }
+
     /// Record one event, evicting the oldest if full.
     pub fn push(&mut self, e: Event) {
         if self.ring.len() == self.capacity {
@@ -270,6 +290,34 @@ mod tests {
         assert_eq!(t.dropped(), 2);
         let rounds: Vec<u64> = t.events().map(|e| e.round()).collect();
         assert_eq!(rounds, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn shard_buffers_drain_as_if_pushed_directly() {
+        let sent = |round| Event::Sent {
+            round,
+            src: 0,
+            dst: 1,
+        };
+        let mut direct = Trace::new(3);
+        let mut merged = Trace::new(3);
+        direct.push(sent(0));
+        merged.push(sent(0));
+        let shards: [&[u64]; 2] = [&[1, 2, 3, 4, 5], &[6, 7]];
+        let mut bufs: Vec<Trace> = shards.iter().map(|_| Trace::buffer(3)).collect();
+        for (buf, rounds) in bufs.iter_mut().zip(shards) {
+            for &r in rounds {
+                direct.push(sent(r));
+                buf.push(sent(r));
+            }
+        }
+        for buf in &mut bufs {
+            buf.drain_into(&mut merged);
+            assert!(buf.is_empty() && buf.dropped() == 0);
+        }
+        let rounds = |t: &Trace| t.events().map(|e| e.round()).collect::<Vec<_>>();
+        assert_eq!(rounds(&merged), rounds(&direct));
+        assert_eq!(merged.dropped(), direct.dropped());
     }
 
     #[test]
